@@ -103,12 +103,12 @@ class Ctx:
 
     def read(self, obj, field: str):
         """Instrumented field read (logs a ``read`` operation)."""
-        self.env._log(op_read(self.thread.name, location=obj.location_of(field)))
+        self.env._log(op_read, self.thread.name, location=obj.location_of(field))
         return obj.raw_read(field)
 
     def write(self, obj, field: str, value) -> None:
         """Instrumented field write (logs a ``write`` operation)."""
-        self.env._log(op_write(self.thread.name, location=obj.location_of(field)))
+        self.env._log(op_write, self.thread.name, location=obj.location_of(field))
         obj.raw_write(field, value)
 
     def read_silent(self, obj, field: str):
@@ -190,7 +190,7 @@ class Ctx:
 
     def enable(self, name: str) -> None:
         """Emit an ``enable`` operation (framework modeling, §4.2)."""
-        self.env._log(op_enable(self.thread.name, task=name))
+        self.env._log(op_enable, self.thread.name, task=name)
 
     # -- looper plumbing (thread entries) ----------------------------------------
 
@@ -267,7 +267,7 @@ class AndroidEnv:
             # Untracked threads model natively-created threads whose fork
             # the Trace Generator cannot observe (§6) — no fork op, hence
             # no FORK happens-before edge.
-            self._log(op_fork(parent.name, child.name))
+            self._log(op_fork, parent.name, child.name)
         return child
 
     def ctx(self, thread: Union[SimThread, str]) -> Ctx:
@@ -293,7 +293,7 @@ class AndroidEnv:
         if thread.has_queue:
             raise ThreadAPIError("thread %s already has a queue" % thread.name)
         thread.queue = MessageQueue(thread.name)
-        self._log(op_attachq(thread.name))
+        self._log(op_attachq, thread.name)
 
     def loop(self, thread: SimThread) -> None:
         if not thread.has_queue:
@@ -301,7 +301,7 @@ class AndroidEnv:
         if thread.looping:
             raise ThreadAPIError("thread %s is already looping" % thread.name)
         thread.looping = True
-        self._log(op_looponq(thread.name))
+        self._log(op_looponq, thread.name)
 
     def ensure_looper_ready(self, thread: SimThread) -> None:
         """Bring a freshly-created looper thread up to its loop immediately
@@ -353,7 +353,8 @@ class AndroidEnv:
             )
         task = self.ids.alloc_instance(base_name)
         self._seq += 1
-        op = op_post(
+        self._log(
+            op_post,
             poster.name,
             task,
             target.name,
@@ -361,7 +362,6 @@ class AndroidEnv:
             at_front=at_front,
             event=event,
         )
-        self._log(op)
         message = Message(
             task=task,
             callback=callback,
@@ -395,7 +395,7 @@ class AndroidEnv:
         lock.release(thread.name)
         if lock.depth == 0 and lock in thread.held_locks:
             thread.held_locks.remove(lock)
-        self._log(op_release(thread.name, lock=lock.name))
+        self._log(op_release, thread.name, lock=lock.name)
 
     def _make_command(self, thread: SimThread, command: Command) -> Command:
         if self._pending_command is not None:
@@ -407,8 +407,10 @@ class AndroidEnv:
 
     # -- trace ------------------------------------------------------------------------
 
-    def _log(self, op: Operation) -> None:
-        self.ops.append(op)
+    def _log(self, factory: Callable[..., Operation], *args, **fields) -> None:
+        """Append ``factory(*args, **fields)`` built at its final trace
+        position, so :meth:`build_trace` keeps every operation as is."""
+        self.ops.append(factory(*args, index=len(self.ops), **fields))
 
     def build_trace(self, name: Optional[str] = None) -> ExecutionTrace:
         """Finalize the run into an analysable trace.  Posts of tasks that
@@ -515,7 +517,7 @@ class AndroidEnv:
 
     def _advance(self, thread: SimThread) -> None:
         if thread.state is ThreadState.NEW:
-            self._log(op_threadinit(thread.name))
+            self._log(op_threadinit, thread.name)
             thread.state = ThreadState.RUNNABLE
             if thread.entry is not None:
                 gen = invoke(thread.entry, self.ctx(thread))
@@ -548,11 +550,11 @@ class AndroidEnv:
         raise SchedulerError("thread %s was scheduled but has no work" % thread.name)
 
     def _begin_task(self, thread: SimThread, message: Message) -> None:
-        self._log(op_begin(thread.name, task=message.task))
+        self._log(op_begin, thread.name, task=message.task)
         thread.current_task = message.task
 
         def on_done() -> None:
-            self._log(op_end(thread.name, task=message.task))
+            self._log(op_end, thread.name, task=message.task)
             thread.current_task = None
 
         gen = invoke(message.callback)
@@ -606,9 +608,9 @@ class AndroidEnv:
             command.lock.acquire(thread.name)
             if command.lock not in thread.held_locks:
                 thread.held_locks.append(command.lock)
-            self._log(op_acquire(thread.name, lock=command.lock.name))
+            self._log(op_acquire, thread.name, lock=command.lock.name)
         elif isinstance(command, Join):
-            self._log(op_join(thread.name, command.thread.name))
+            self._log(op_join, thread.name, command.thread.name)
         elif isinstance(command, WaitUntil):
             pass  # untraced framework synchronization
         else:
@@ -621,7 +623,7 @@ class AndroidEnv:
             raise ThreadAPIError(
                 "thread %s exited still holding locks" % thread.name
             )
-        self._log(op_threadexit(thread.name))
+        self._log(op_threadexit, thread.name)
         thread.state = ThreadState.FINISHED
 
     def shutdown(self) -> None:
@@ -632,7 +634,7 @@ class AndroidEnv:
                 thread.state = ThreadState.FINISHED
                 continue
             if thread.alive and thread.idle:
-                self._log(op_threadexit(thread.name))
+                self._log(op_threadexit, thread.name)
                 thread.state = ThreadState.FINISHED
 
     # -- introspection -------------------------------------------------------------------

@@ -23,13 +23,18 @@ class SharedObject:
         self.class_name = class_name
         self.serial = env.ids.serial("obj:" + class_name)
         self._values: Dict[str, Any] = dict(initial_fields)
+        # One string per field: every logged access shares it.
+        self._locations: Dict[str, str] = {}
 
     @property
     def location_base(self) -> str:
         return "%s@%d" % (self.class_name, self.serial)
 
     def location_of(self, field: str) -> str:
-        return "%s.%s" % (self.location_base, field)
+        location = self._locations.get(field)
+        if location is None:
+            location = self._locations[field] = "%s.%s" % (self.location_base, field)
+        return location
 
     def raw_read(self, field: str) -> Any:
         return self._values.get(field)

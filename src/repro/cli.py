@@ -38,14 +38,11 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.apps.registry import DEMO_APPS, demo_app, paper_app
-from repro.apps.specs import ALL_SPECS, OPEN_SOURCE_SPECS, SPEC_BY_NAME
-from repro.bench import (
-    render_performance,
-    render_table2,
-    render_table3,
-    run_all,
-)
+# Only the analysis path is imported up front: the simulator, the app
+# registry, the explorer, and the table harness load inside the
+# subcommands that use them, so ``droidracer analyze`` starts fast.
+from repro.apps import DEMO_APP_NAMES
+from repro.apps.specs import SPEC_BY_NAME
 from repro.core import (
     BACKEND_BITMASK,
     BACKEND_CHAINS,
@@ -58,7 +55,6 @@ from repro.core import (
     detect_races,
 )
 from repro.core.trace import ExecutionTrace
-from repro.explorer import UIExplorer
 
 
 #: Default corpus location (relative to the working directory).
@@ -193,7 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_obs(p_run)
 
     p_demo = sub.add_parser("demo", help="run a hand-written demo app scenario")
-    p_demo.add_argument("app", choices=sorted(DEMO_APPS))
+    p_demo.add_argument("app", choices=sorted(DEMO_APP_NAMES))
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--events", nargs="*", default=None, metavar="EVENT",
                         help="event keys to fire (default: every enabled click)")
@@ -201,7 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_obs(p_demo)
 
     p_explore = sub.add_parser("explore", help="systematically explore a demo app")
-    p_explore.add_argument("app", choices=sorted(DEMO_APPS))
+    p_explore.add_argument("app", choices=sorted(DEMO_APP_NAMES))
     p_explore.add_argument(
         "--strategy",
         choices=("dfs", "monkey", "dynodroid", "guided"),
@@ -572,6 +568,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     notes = getattr(args, "_history_notes", None)
 
     if args.command in ("table2", "table3", "performance"):
+        from repro.apps.specs import ALL_SPECS, OPEN_SOURCE_SPECS
+        from repro.bench import (
+            render_performance,
+            render_table2,
+            render_table3,
+            run_all,
+        )
+
         specs = OPEN_SOURCE_SPECS if args.open_source_only else ALL_SPECS
         results = run_all(specs, scale=args.scale, seed=args.seed)
         renderer = {
@@ -598,6 +602,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
+        from repro.apps.registry import paper_app
+
         app = paper_app(args.app, scale=args.scale)
         _, trace = app.run(seed=args.seed)
         if args.save_trace:
@@ -640,6 +646,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "demo":
+        from repro.apps.registry import demo_app
         from repro.explorer import find_event
 
         app = demo_app(args.app)
@@ -758,12 +765,14 @@ def _explore_main(args: argparse.Namespace, notes) -> int:
     exploration draws on tomorrow.  Without ``--history`` nothing is
     recorded and output is byte-identical to the pre-feedback CLI.
     """
+    from repro.apps.registry import demo_app
     from repro.core.race_detector import DetectorConfig, RaceDetector
     from repro.explorer import (
         DynodroidExplorer,
         GuidedExplorer,
         MonkeyExplorer,
         SuspicionIndex,
+        UIExplorer,
         signal_document,
     )
 

@@ -35,6 +35,9 @@ from .operations import OpKind, Operation
 from .reachability import BACKEND_BITMASK, BACKEND_CHAINS
 from .trace import ExecutionTrace
 
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+
 
 @dataclass
 class HBNode:
@@ -73,6 +76,18 @@ class HBNode:
 
     def accesses(self) -> Iterator[Operation]:
         return (op for op in self.ops if op.is_memory_access)
+
+    def location_writes(self) -> Dict[str, bool]:
+        """``{location: writes_to(location)}`` for every location the node
+        accesses, in first-access order, computed in one pass over the ops."""
+        writes: Dict[str, bool] = {}
+        for op in self.ops:
+            kind = op.kind
+            if kind is _WRITE:
+                writes[op.location] = True
+            elif kind is _READ and op.location not in writes:
+                writes[op.location] = False
+        return writes
 
     def locations(self) -> List[str]:
         seen: Dict[str, None] = {}

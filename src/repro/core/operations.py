@@ -33,7 +33,7 @@ classification (§4.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 
@@ -55,6 +55,11 @@ class OpKind(enum.Enum):
     WRITE = "write"
     ENABLE = "enable"
 
+    # Members are singletons that compare by identity, so identity hashing
+    # agrees with equality.  It keeps every set/dict lookup keyed by an
+    # op-code in C; Enum's own ``__hash__`` is a Python-level method.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -71,10 +76,30 @@ LOCK_OPS = frozenset({OpKind.ACQUIRE, OpKind.RELEASE})
 #: Op kinds that carry a target thread.
 THREAD_TARGET_OPS = frozenset({OpKind.FORK, OpKind.JOIN, OpKind.POST})
 
+#: Field order of an :class:`Operation` (its positional constructor order).
+OPERATION_FIELDS = (
+    "kind",
+    "thread",
+    "index",
+    "task",
+    "target",
+    "lock",
+    "location",
+    "in_task",
+    "delay",
+    "at_front",
+    "event",
+    "source",  # free-form provenance (file:line, callback)
+)
 
-@dataclass(frozen=True)
-class Operation:
-    """One operation of an execution trace.
+_POST = OpKind.POST
+_WRITE = OpKind.WRITE
+_READ = OpKind.READ
+_tuple_new = tuple.__new__
+
+
+class Operation(namedtuple("_OperationFields", OPERATION_FIELDS)):
+    """One operation of an execution trace: an immutable, validated value.
 
     ``index`` is the position in the trace (assigned by
     :class:`repro.core.trace.ExecutionTrace`); ``task`` is the unique task
@@ -82,24 +107,80 @@ class Operation:
     ``in_task`` is the task instance whose handler *executed* the operation
     (``None`` for operations outside any asynchronous task, e.g. before
     ``loopOnQ`` or on a thread without a queue).
+
+    Operations are tuple-backed (no per-instance ``__dict__``), so a trace
+    of N operations costs N small tuples; equal fields mean equal values
+    with equal hashes.  Every constructor validates once — readers, the
+    simulator, and :class:`~repro.core.trace.TraceBuilder` pass the final
+    ``index`` in, or re-position an already-valid operation with
+    :meth:`with_index`.
     """
 
-    kind: OpKind
-    thread: str
-    index: int = -1
-    task: Optional[str] = None
-    target: Optional[str] = None
-    lock: Optional[str] = None
-    location: Optional[str] = None
-    in_task: Optional[str] = None
-    delay: Optional[int] = None
-    at_front: bool = False
-    event: Optional[str] = None
-    source: Optional[str] = None  # free-form provenance (file:line, callback)
-    metadata: dict = field(default_factory=dict, compare=False, hash=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _validate(self)
+    def __new__(
+        cls,
+        kind: OpKind,
+        thread: str,
+        index: int = -1,
+        task: Optional[str] = None,
+        target: Optional[str] = None,
+        lock: Optional[str] = None,
+        location: Optional[str] = None,
+        in_task: Optional[str] = None,
+        delay: Optional[int] = None,
+        at_front: bool = False,
+        event: Optional[str] = None,
+        source: Optional[str] = None,
+    ) -> "Operation":
+        if not thread:
+            raise MalformedOperationError("operation %s has no thread" % kind)
+        if kind in MEMORY_OPS:  # most operations: one check
+            if not location:
+                raise MalformedOperationError("%s requires a memory location" % kind)
+        else:
+            if kind in TASK_OPS and not task:
+                raise MalformedOperationError("%s requires a task" % kind)
+            if kind in THREAD_TARGET_OPS and not target:
+                raise MalformedOperationError("%s requires a target thread" % kind)
+            if kind in LOCK_OPS and not lock:
+                raise MalformedOperationError("%s requires a lock" % kind)
+        if delay is not None:
+            if kind is not _POST:
+                raise MalformedOperationError("delay is only meaningful on post")
+            if delay < 0:
+                raise MalformedOperationError("negative post delay")
+        if at_front and kind is not _POST:
+            raise MalformedOperationError("at_front is only meaningful on post")
+        return _tuple_new(
+            cls,
+            (
+                kind,
+                thread,
+                index,
+                task,
+                target,
+                lock,
+                location,
+                in_task,
+                delay,
+                at_front,
+                event,
+                source,
+            ),
+        )
+
+    def with_index(self, index: int) -> "Operation":
+        """This operation at trace position ``index``.  The fields were
+        validated when the operation was built, so they are not checked
+        again."""
+        if self.index == index:
+            return self
+        return _tuple_new(Operation, self[:2] + (index,) + self[3:])
+
+    def _replace(self, **changes) -> "Operation":
+        # namedtuple's _replace bypasses __new__; keep every copy validated.
+        return Operation(**dict(zip(OPERATION_FIELDS, self), **changes))
 
     # -- convenience predicates -------------------------------------------
 
@@ -109,15 +190,15 @@ class Operation:
 
     @property
     def is_write(self) -> bool:
-        return self.kind is OpKind.WRITE
+        return self.kind is _WRITE
 
     @property
     def is_read(self) -> bool:
-        return self.kind is OpKind.READ
+        return self.kind is _READ
 
     @property
     def is_delayed_post(self) -> bool:
-        return self.kind is OpKind.POST and bool(self.delay)
+        return self.kind is _POST and bool(self.delay)
 
     def conflicts_with(self, other: "Operation") -> bool:
         """Two operations *conflict* if they access the same memory location
@@ -158,26 +239,6 @@ class Operation:
 class MalformedOperationError(ValueError):
     """Raised when an :class:`Operation` is constructed with missing or
     contradictory fields for its op-code."""
-
-
-def _validate(op: Operation) -> None:
-    kind = op.kind
-    if not op.thread:
-        raise MalformedOperationError("operation %s has no thread" % kind)
-    if kind in TASK_OPS and not op.task:
-        raise MalformedOperationError("%s requires a task" % kind)
-    if kind in THREAD_TARGET_OPS and not op.target:
-        raise MalformedOperationError("%s requires a target thread" % kind)
-    if kind in LOCK_OPS and not op.lock:
-        raise MalformedOperationError("%s requires a lock" % kind)
-    if kind in MEMORY_OPS and not op.location:
-        raise MalformedOperationError("%s requires a memory location" % kind)
-    if op.delay is not None and kind is not OpKind.POST:
-        raise MalformedOperationError("delay is only meaningful on post")
-    if op.at_front and kind is not OpKind.POST:
-        raise MalformedOperationError("at_front is only meaningful on post")
-    if op.delay is not None and op.delay < 0:
-        raise MalformedOperationError("negative post delay")
 
 
 # -- constructors ------------------------------------------------------------

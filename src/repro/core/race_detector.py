@@ -472,11 +472,10 @@ class RaceDetector:
                 continue
             bit = 1 << node.node_id
             scope = (node.thread, node.task)
-            for location in node.locations():
+            for location, writes in node.location_writes().items():
                 entry = index.get(location)
                 if entry is None:
                     entry = index[location] = [[], 0, 0, {}]
-                writes = node.writes_to(location)
                 entry[0].append((node, writes))
                 entry[1] |= bit
                 if writes:

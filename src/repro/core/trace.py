@@ -22,10 +22,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .operations import MalformedOperationError, OpKind, Operation
+
+_ATTACH_Q = OpKind.ATTACH_Q
+_LOOP_ON_Q = OpKind.LOOP_ON_Q
+_POST = OpKind.POST
+_BEGIN = OpKind.BEGIN
+#: Op kinds that update the per-thread / per-task indices on ingest.
+_STRUCTURAL_OPS = frozenset({_ATTACH_Q, _LOOP_ON_Q, _POST, _BEGIN, OpKind.END})
 
 
 class InvalidTraceError(ValueError):
@@ -111,29 +120,47 @@ class ExecutionTrace:
         self.threads: List[str] = []
         self._thread_set: set = set()
         self._in_task: List[Optional[str]] = []
+        self._jsonl: Optional[str] = None  # canonical text, built on demand
+        self._digest: Optional[str] = None
         self._ingest(operations)
 
     # -- construction -------------------------------------------------------
 
     def _ingest(self, operations: Iterable[Operation]) -> None:
-        current_task: Dict[str, Optional[str]] = {}
-        for raw in operations:
-            index = len(self.ops)
-            op = raw if raw.index == index else _reindex(raw, index)
-            t = op.thread
-            if t not in self._thread_set:
-                self._thread_set.add(t)
-                self.threads.append(t)
-                current_task.setdefault(t, None)
+        """Validate the trace structure and derive the per-thread and
+        per-task indices in one pass.
 
-            if op.kind is OpKind.ATTACH_Q:
+        An operation already carrying its position is kept as is; any other
+        is re-positioned with :meth:`Operation.with_index` (no second
+        validation).  A task still running when the trace was cut short is
+        tolerated: the HB rules only need its ``begin``.
+        """
+        ops = self.ops
+        in_task_of = self._in_task
+        thread_set = self._thread_set
+        current_task: Dict[str, Optional[str]] = {}
+        for op in operations:
+            index = len(ops)
+            if op.index != index:
+                op = op.with_index(index)
+            t = op.thread
+            kind = op.kind
+            if t not in thread_set:
+                thread_set.add(t)
+                self.threads.append(t)
+                current_task[t] = None
+            in_task = current_task[t]
+
+            if kind not in _STRUCTURAL_OPS:
+                pass  # accesses, locks, fork/join...: nothing to index
+            elif kind is _ATTACH_Q:
                 if t in self.attach_index:
                     raise InvalidTraceError(
                         "thread %s attaches a queue twice (ops %d, %d)"
                         % (t, self.attach_index[t], index)
                     )
                 self.attach_index[t] = index
-            elif op.kind is OpKind.LOOP_ON_Q:
+            elif kind is _LOOP_ON_Q:
                 if t in self.loop_index:
                     raise InvalidTraceError(
                         "thread %s loops on its queue twice (ops %d, %d)"
@@ -144,7 +171,7 @@ class ExecutionTrace:
                         "thread %s loops on a queue it never attached" % t
                     )
                 self.loop_index[t] = index
-            elif op.kind is OpKind.POST:
+            elif kind is _POST:
                 info = self._task(op.task)
                 if info.post_index is not None:
                     raise InvalidTraceError(
@@ -157,15 +184,15 @@ class ExecutionTrace:
                 info.delay = op.delay
                 info.at_front = op.at_front
                 info.event = op.event
-                info.posted_in_task = current_task.get(t)
-            elif op.kind is OpKind.BEGIN:
+                info.posted_in_task = in_task
+            elif kind is _BEGIN:
                 info = self._task(op.task)
                 if info.begin_index is not None:
                     raise InvalidTraceError("task %s begins twice" % op.task)
-                if current_task.get(t) is not None:
+                if in_task is not None:
                     raise InvalidTraceError(
                         "task %s begins inside task %s on thread %s: tasks "
-                        "run to completion" % (op.task, current_task[t], t)
+                        "run to completion" % (op.task, in_task, t)
                     )
                 info.begin_index = index
                 if info.thread is None:
@@ -175,35 +202,25 @@ class ExecutionTrace:
                         "task %s was posted to %s but begins on %s"
                         % (op.task, info.thread, t)
                     )
-                current_task[t] = op.task
-            elif op.kind is OpKind.END:
+                # begin/end ops belong to the task they bracket.
+                in_task = current_task[t] = op.task
+            else:  # END
                 info = self._task(op.task)
-                if current_task.get(t) != op.task:
+                if in_task != op.task:
                     raise InvalidTraceError(
                         "end(%s) on thread %s does not match the running "
-                        "task %s" % (op.task, t, current_task.get(t))
+                        "task %s" % (op.task, t, in_task)
                     )
                 info.end_index = index
                 current_task[t] = None
 
-            running = current_task.get(t)
-            if op.kind is OpKind.BEGIN:
-                # begin/end ops belong to the task they bracket.
-                self._in_task.append(op.task)
-            else:
-                self._in_task.append(running if op.kind is not OpKind.END else op.task)
-            if op.in_task is not None and op.in_task != self._in_task[-1]:
+            if op.in_task is not None and op.in_task != in_task:
                 raise InvalidTraceError(
                     "op %d declares in_task=%s but trace structure implies %s"
-                    % (index, op.in_task, self._in_task[-1])
+                    % (index, op.in_task, in_task)
                 )
-            self.ops.append(op)
-
-        for info in self.tasks.values():
-            if info.begin_index is not None and info.end_index is None:
-                # A task still running when the trace was cut short: tolerate,
-                # the HB rules only need begin.
-                pass
+            in_task_of.append(in_task)
+            ops.append(op)
 
     def _task(self, name: str) -> TaskInfo:
         info = self.tasks.get(name)
@@ -308,9 +325,15 @@ class ExecutionTrace:
     def to_jsonl(self) -> str:
         """Canonical JSONL serialization: one record per operation, keys
         sorted, no trace name — byte-identical for equal operation
-        sequences, which is what :meth:`canonical_digest` keys on."""
-        lines = [json.dumps(operation_to_record(op), sort_keys=True) for op in self.ops]
-        return "\n".join(lines) + "\n"
+        sequences, which is what :meth:`canonical_digest` keys on.
+
+        Each line equals ``json.dumps(operation_to_record(op),
+        sort_keys=True)``.  The text is built once per trace and shared by
+        the digest and every writer (store ingest, ``--save-trace``).
+        """
+        if self._jsonl is None:
+            self._jsonl = "\n".join([_canonical_line(op) for op in self.ops]) + "\n"
+        return self._jsonl
 
     def canonical_digest(self) -> str:
         """SHA-256 hex digest of the canonical serialization.
@@ -319,7 +342,9 @@ class ExecutionTrace:
         two traces with the same operations share a digest regardless of
         their (display) names.
         """
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        return self._digest
 
     @classmethod
     def from_jsonl(
@@ -340,13 +365,14 @@ class ExecutionTrace:
         corpus batch analysis uses so one broken record degrades one
         trace instead of failing a batch.
         """
-        ops = []
+        ops: List[Operation] = []
         for line_number, line in enumerate(lines, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            if not stripped or stripped[0] == "#":
                 continue
             try:
-                ops.append(operation_from_record(json.loads(stripped)))
+                # Built once, at its final position: ExecutionTrace keeps it.
+                ops.append(operation_from_record(_json_record(stripped), len(ops)))
             except (ValueError, KeyError, TypeError) as exc:
                 error = TraceFormatError(line_number, _format_reason(exc), stripped)
                 if strict:
@@ -391,6 +417,13 @@ class ExecutionTrace:
 #: Optional operation fields serialized when present, in record order.
 _RECORD_FIELDS = ("task", "target", "lock", "location", "delay", "event", "source")
 
+#: Name-valued record fields, interned on load: a parsed trace holds one
+#: string object per distinct thread, task, lock, and location.
+_NAME_FIELDS = ("thread", "task", "target", "lock", "location")
+
+_KIND_OF_VALUE = {kind.value: kind for kind in OpKind}
+_intern = sys.intern
+
 
 def operation_to_record(op: Operation) -> dict:
     """The JSON-serializable record of one operation (canonical form:
@@ -405,33 +438,92 @@ def operation_to_record(op: Operation) -> dict:
     return rec
 
 
-def operation_from_record(rec: dict) -> Operation:
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_record(text: str):
+    """``json.loads(text)`` for a stripped line, calling the decoder's C
+    scanner directly: ``json.loads`` wraps the same scan in Python-level
+    checks that cost about as much as the scan itself on a one-record
+    line.  Anything but one complete value falls back to ``json.loads``,
+    which raises its usual error."""
+    try:
+        value, end = _scan_json(text, 0)
+    except StopIteration:
+        end = -1
+    if end != len(text):
+        return json.loads(text)
+    return value
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, with the two common cases
+    (names and integer delays) done without the encoder's set-up cost."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, sort_keys=True)
+
+
+def _canonical_line(op: Operation) -> str:
+    """``json.dumps(operation_to_record(op), sort_keys=True)``, written
+    out: the keys below are in sorted order and the separators are
+    ``json.dumps``'s defaults."""
+    parts = []
+    if op.at_front:
+        parts.append('"at_front": true')
+    if op.delay is not None:
+        parts.append('"delay": ' + _json_value(op.delay))
+    if op.event is not None:
+        parts.append('"event": ' + _json_value(op.event))
+    parts.append('"kind": "%s"' % op.kind.value)
+    if op.location is not None:
+        parts.append('"location": ' + _json_value(op.location))
+    if op.lock is not None:
+        parts.append('"lock": ' + _json_value(op.lock))
+    if op.source is not None:
+        parts.append('"source": ' + _json_value(op.source))
+    if op.target is not None:
+        parts.append('"target": ' + _json_value(op.target))
+    if op.task is not None:
+        parts.append('"task": ' + _json_value(op.task))
+    parts.append('"thread": ' + _json_value(op.thread))
+    return "{" + ", ".join(parts) + "}"
+
+
+def operation_from_record(rec: dict, index: Optional[int] = None) -> Operation:
     """Inverse of :func:`operation_to_record`.
 
-    Raises ``ValueError`` with a meaningful message for records missing
-    required keys or naming unknown op kinds (instead of a bare
-    ``KeyError``).
+    ``index`` places the operation at its trace position (overriding any
+    ``index`` key in the record); readers pass it so each operation is
+    built exactly once.  Raises ``ValueError`` with a meaningful message
+    for records missing required keys or naming unknown op kinds (instead
+    of a bare ``KeyError``).
     """
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object: %r" % (rec,))
-    rec = dict(rec)
+    fields = dict(rec)
     try:
-        kind_value = rec.pop("kind")
+        kind_value = fields.pop("kind")
     except KeyError:
         raise ValueError("record is missing the 'kind' field")
-    try:
-        kind = OpKind(kind_value)
-    except ValueError:
+    kind = _KIND_OF_VALUE.get(kind_value) if type(kind_value) is str else None
+    if kind is None:
         raise ValueError(
             "unknown op kind %r (expected one of: %s)"
             % (kind_value, ", ".join(k.value for k in OpKind))
         )
-    try:
-        thread = rec.pop("thread")
-    except KeyError:
+    if "thread" not in fields:
         raise ValueError("record is missing the 'thread' field")
+    for key in _NAME_FIELDS:
+        value = fields.get(key)
+        if type(value) is str:
+            fields[key] = _intern(value)
+    if index is not None:
+        fields["index"] = index
     try:
-        return Operation(kind, thread, **rec)
+        return Operation(kind, **fields)
     except TypeError as exc:
         raise ValueError("bad operation field: %s" % exc)
 
@@ -454,24 +546,6 @@ def field_of_location(location: str) -> str:
     return location
 
 
-def _reindex(op: Operation, index: int) -> Operation:
-    return Operation(
-        op.kind,
-        op.thread,
-        index=index,
-        task=op.task,
-        target=op.target,
-        lock=op.lock,
-        location=op.location,
-        in_task=op.in_task,
-        delay=op.delay,
-        at_front=op.at_front,
-        event=op.event,
-        source=op.source,
-        metadata=op.metadata,
-    )
-
-
 class TraceBuilder:
     """Incremental trace construction with task-instance renaming.
 
@@ -486,7 +560,7 @@ class TraceBuilder:
         self._task_instances: Dict[str, int] = {}
 
     def add(self, op: Operation) -> Operation:
-        op = _reindex(op, len(self._ops))
+        op = op.with_index(len(self._ops))
         self._ops.append(op)
         return op
 

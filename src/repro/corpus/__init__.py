@@ -15,17 +15,39 @@ half at scale:
   (Table 3 style) with human-readable and JSON rendering.
 """
 
-from .cache import ResultCache, valid_digest
-from .pipeline import AnalysisTimeout, BatchAnalyzer, BatchResult, TraceResult
-from .report import (
-    CATEGORY_ORDER,
-    CorpusRace,
-    CorpusReport,
-    aggregate,
-    corpus_report_to_json,
-    report_to_json,
-)
-from .store import CorpusError, TraceEntry, TraceStore, app_of_trace_name
+from importlib import import_module
+
+#: Where each exported name lives.  Submodules load on first use, so
+#: ``droidracer analyze`` (which only needs :func:`report_to_json`) never
+#: imports the store, the cache, or the multiprocessing pipeline.
+_LAZY = {
+    "ResultCache": "cache",
+    "valid_digest": "cache",
+    "AnalysisTimeout": "pipeline",
+    "BatchAnalyzer": "pipeline",
+    "BatchResult": "pipeline",
+    "TraceResult": "pipeline",
+    "CATEGORY_ORDER": "report",
+    "CorpusRace": "report",
+    "CorpusReport": "report",
+    "aggregate": "report",
+    "corpus_report_to_json": "report",
+    "report_to_json": "report",
+    "CorpusError": "store",
+    "TraceEntry": "store",
+    "TraceStore": "store",
+    "app_of_trace_name": "store",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AnalysisTimeout",

@@ -75,11 +75,17 @@ class ResultCache:
         return report
 
     def put(self, trace_digest: str, config_digest: str, report: RaceReport) -> None:
+        self.put_dict(trace_digest, config_digest, report.to_dict())
+
+    def put_dict(self, trace_digest: str, config_digest: str, report_dict: dict) -> None:
+        """Store a report given in its :meth:`RaceReport.to_dict` form —
+        what analysis workers return — without rebuilding the report
+        first; the file holds the same bytes :meth:`put` writes."""
         path = self.path_for(trace_digest, config_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Unique temp name + os.replace: concurrent writers of the same
         # key (service scheduler + a batch run) each land a complete file.
-        _atomic_write_text(path, json.dumps(report.to_dict(), sort_keys=True))
+        _atomic_write_text(path, json.dumps(report_dict, sort_keys=True))
 
     def clear(self) -> int:
         """Delete every cached report; returns the number removed."""

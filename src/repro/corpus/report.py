@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.classification import RaceCategory
 from repro.core.race_detector import RaceReport
 
-from .pipeline import BatchResult
+if TYPE_CHECKING:
+    from .pipeline import BatchResult
 
 #: Table 3 column order (multithreaded first, then single-threaded).
 CATEGORY_ORDER = (

@@ -173,10 +173,8 @@ def _location_accessors(hb: HappensBefore) -> Dict[str, List[Tuple]]:
     for node in hb.graph.nodes:
         if not node.is_access_block:
             continue
-        for location in node.locations():
-            index.setdefault(location, []).append(
-                (node, node.writes_to(location))
-            )
+        for location, writes in node.location_writes().items():
+            index.setdefault(location, []).append((node, writes))
     return index
 
 

@@ -54,54 +54,10 @@ Schema, naming conventions, and a Perfetto walkthrough:
 ``docs/observability.md``.
 """
 
-from .dashboard import render_dashboard, write_dashboard
-from .history import (
-    HISTORY_ENV,
-    HistoryStore,
-    RunRecord,
-    combine_digests,
-    environment_fingerprint,
-    export_bench,
-    export_suspicion,
-    report_digest,
-    resolve_history_dir,
-    subtree_spans,
-)
-from .logging import JsonLogger, NULL_LOGGER, NullLogger
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    SpanHistogramSink,
-    current_registry,
-    render_prometheus,
-    rss_bytes,
-    set_registry,
-    use_registry,
-)
-from .regression import (
-    GateResult,
-    GateViolation,
-    RunComparison,
-    SpanDelta,
-    compare,
-    gate,
-)
-from .sinks import (
-    ChromeTraceSink,
-    JsonlSink,
-    MemorySink,
-    Sink,
-    SummarySink,
-    aggregate_spans,
-    chrome_trace_dict,
-    read_jsonl,
-    render_summary,
-)
+import os
+from importlib import import_module
+from typing import Optional
+
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -112,6 +68,77 @@ from .tracer import (
     set_tracer,
     use_tracer,
 )
+
+#: Environment variable supplying the default ``--history`` directory.
+HISTORY_ENV = "DROIDRACER_HISTORY"
+
+
+def resolve_history_dir(explicit: Optional[str] = None) -> Optional[str]:
+    """The history directory for this invocation: an explicit
+    ``--history`` value wins, then ``$DROIDRACER_HISTORY``, then none
+    (history disabled — the inert default)."""
+    if explicit:
+        return explicit
+    env = os.environ.get(HISTORY_ENV)
+    return env if env else None
+
+
+#: Where each lazily exported name lives.  The tracer is all the analysis
+#: path needs, so ``droidracer analyze`` never imports the history,
+#: dashboard, metrics, or regression modules; they load on first use.
+_LAZY = {
+    "render_dashboard": "dashboard",
+    "write_dashboard": "dashboard",
+    "HistoryStore": "history",
+    "RunRecord": "history",
+    "combine_digests": "history",
+    "environment_fingerprint": "history",
+    "export_bench": "history",
+    "export_suspicion": "history",
+    "report_digest": "history",
+    "subtree_spans": "history",
+    "JsonLogger": "logging",
+    "NULL_LOGGER": "logging",
+    "NullLogger": "logging",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricFamily": "metrics",
+    "MetricsRegistry": "metrics",
+    "NULL_REGISTRY": "metrics",
+    "NullRegistry": "metrics",
+    "SpanHistogramSink": "metrics",
+    "current_registry": "metrics",
+    "render_prometheus": "metrics",
+    "rss_bytes": "metrics",
+    "set_registry": "metrics",
+    "use_registry": "metrics",
+    "GateResult": "regression",
+    "GateViolation": "regression",
+    "RunComparison": "regression",
+    "SpanDelta": "regression",
+    "compare": "regression",
+    "gate": "regression",
+    "ChromeTraceSink": "sinks",
+    "JsonlSink": "sinks",
+    "MemorySink": "sinks",
+    "Sink": "sinks",
+    "SummarySink": "sinks",
+    "aggregate_spans": "sinks",
+    "chrome_trace_dict": "sinks",
+    "read_jsonl": "sinks",
+    "render_summary": "sinks",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ChromeTraceSink",

@@ -48,6 +48,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from . import HISTORY_ENV, resolve_history_dir  # noqa: F401  (re-exported)
+
 __all__ = [
     "HISTORY_ENV",
     "HistoryStore",
@@ -61,9 +63,6 @@ __all__ = [
     "subtree_spans",
 ]
 
-#: Environment variable supplying the default ``--history`` directory.
-HISTORY_ENV = "DROIDRACER_HISTORY"
-
 #: Store file names (under the history directory).
 RUNS_FILE = "runs.jsonl"
 INDEX_FILE = "index.json"
@@ -74,16 +73,6 @@ INDEX_FILE = "index.json"
 #: from two paths carries two names but one answer).
 _VOLATILE_REPORT_FIELDS = ("analysis_seconds", "trace_name")
 _VOLATILE_CLOSURE_FIELDS = ("memory_bytes", "peak_rss_bytes")
-
-
-def resolve_history_dir(explicit: Optional[str] = None) -> Optional[str]:
-    """The history directory for this invocation: an explicit
-    ``--history`` value wins, then ``$DROIDRACER_HISTORY``, then none
-    (history disabled — the inert default)."""
-    if explicit:
-        return explicit
-    env = os.environ.get(HISTORY_ENV)
-    return env if env else None
 
 
 def report_digest(report_dict: dict) -> str:

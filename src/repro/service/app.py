@@ -59,7 +59,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.race_detector import DetectorConfig, RaceReport
+from repro.core.race_detector import DetectorConfig
 from repro.core.trace import ExecutionTrace, InvalidTraceError
 from repro.corpus import ResultCache, TraceStore, report_to_json, valid_digest
 from repro.corpus.pipeline import _analyze_one
@@ -497,23 +497,35 @@ class RaceService:
                 self.tracer.merge(obs)
             verdict = triage.get("verdict") if triage else None
             if report_dict is not None:
-                report = RaceReport.from_dict(report_dict)
-                self.cache.put(digest, self.config_digest, report)
+                # The cache write (JSON encoding, temp file, rename) runs
+                # on a worker thread, not the loop; the job is marked done
+                # only once its report is on disk, where it is served from.
+                try:
+                    await loop.run_in_executor(
+                        None, self.cache.put_dict, digest, self.config_digest, report_dict
+                    )
+                except OSError as exc:
+                    error = "cache write failed: %s" % exc
+                    self.queue.fail(job.job_id, error)
+                    self._count("service.jobs_failed")
+                    job_log.error("job.failed", error=error)
+                    return
+                races = len(report_dict["races"])
                 self.queue.complete(
                     job.job_id,
                     seconds=seconds,
-                    race_count=len(report.races),
+                    race_count=races,
                     triage=verdict,
                 )
                 self._count("service.jobs_completed")
-                self._count("service.races_found", len(report.races))
+                self._count("service.races_found", races)
                 if verdict == "escalated":
                     self._count("service.triage_escalated")
                 self._m_job_run.observe(seconds)
                 job_log.log(
                     "job.done",
                     seconds=round(seconds, 6),
-                    races=len(report.races),
+                    races=races,
                     triage=verdict,
                 )
                 self._record_history(job, report_dict, obs, seconds, triage)

@@ -4,6 +4,8 @@ socket (threaded :class:`ServiceClient` against an in-process
 :class:`BackgroundServer`)."""
 
 import gzip
+import json
+import pickle
 import re
 import threading
 import time
@@ -11,7 +13,8 @@ import time
 import pytest
 
 from repro.apps.paper_traces import figure4_trace
-from repro.core.race_detector import DetectorConfig
+from repro.apps.ladder import ladder_trace
+from repro.core.race_detector import DetectorConfig, RaceReport
 from repro.corpus import (
     BatchAnalyzer,
     CorpusError,
@@ -325,6 +328,56 @@ def test_e2e_upload_analyze_report(client):
     again = client.upload(trace.to_jsonl(), name=trace.name)
     assert again["trace_digest"] == payload["trace_digest"]
     assert again["job"]["state"] == "done"
+
+
+def test_cache_put_dict_writes_the_bytes_put_wrote(tmp_path):
+    # Workers return ``report.to_dict()``; writing that dict must store
+    # exactly what ``put(RaceReport.from_dict(d))`` stored before.
+    traces = [
+        figure4_trace(),
+        ladder_trace(3, 3, loopers=2, rogues=2, body=1, name="racy-ladder"),
+    ]
+    for trace in traces:
+        shipped = pickle.loads(
+            pickle.dumps(CONFIG.build_detector(trace).detect().to_dict())
+        )
+        assert shipped["races"]
+        digest = trace.canonical_digest()
+        old = ResultCache(tmp_path / "old")
+        old.put(digest, CONFIG_DIGEST, RaceReport.from_dict(shipped))
+        new = ResultCache(tmp_path / "new")
+        new.put_dict(digest, CONFIG_DIGEST, shipped)
+        written = new.path_for(digest, CONFIG_DIGEST).read_bytes()
+        assert written == old.path_for(digest, CONFIG_DIGEST).read_bytes()
+
+
+def test_e2e_job_is_done_only_once_its_report_is_cached(server, client):
+    trace = figure4_trace()
+    payload = client.upload(trace.to_jsonl())  # unnamed: named by digest
+    digest = payload["trace_digest"]
+    assert digest == trace.canonical_digest()
+    assert payload["entry"]["name"] == "upload-%s" % digest[:12]
+    job = client.wait(payload["job"]["job_id"])
+    assert job["state"] == "done" and job["race_count"] == 2
+
+    service = server.service
+    written = service.cache.path_for(digest, service.config_digest).read_bytes()
+    report = RaceReport.from_dict(json.loads(written))
+    assert len(report.races) == 2
+    assert written == json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")
+
+
+def test_e2e_failed_cache_write_fails_the_job(server, client):
+    # A report that cannot be stored cannot be served: the job fails
+    # with the reason instead of staying "running" until a restart.
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    server.service.cache.put_dict = disk_full
+    payload = client.upload(figure4_trace().to_jsonl(), name="f4")
+    job = client.wait(payload["job"]["job_id"])
+    assert job["state"] == "failed"
+    assert "cache write failed" in job["error"]
 
 
 def test_e2e_gzip_upload(client):
